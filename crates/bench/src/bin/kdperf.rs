@@ -19,9 +19,11 @@
 //! §12): 8 independent broker groups × 8 exclusive-RDMA producers each
 //! (8 brokers, 64 producer clients) run through
 //! `kafkadirect::run_sharded_groups` at each `--shards` count, recording
-//! wall-clock, events/s/shard, and per-shard barrier-wait attribution.
-//! Speedup over `shards=1` requires as many hardware threads as shards;
-//! the report records `hw_threads` so single-core runs are interpretable.
+//! wall-clock, records/s, events/s/shard, and speedup over `shards=1`, and
+//! checking that every shard count simulated the same record total. Each
+//! shard is an independent thread, so speedup requires as many hardware
+//! threads as shards; the report records `hw_threads` so runs on fewer
+//! cores are interpretable.
 //!
 //! Output: a JSON report plus a human-readable summary. Both default paths
 //! derive from one PR tag — `BENCH_<TAG>.json` and `results/PERF_<TAG>.md`,
@@ -1044,7 +1046,6 @@ struct SweepPoint {
     records: u64,
     /// Executor polls summed over every shard.
     polls: u64,
-    stats: Vec<sim::shard::ShardStats>,
 }
 
 impl SweepPoint {
@@ -1057,19 +1058,12 @@ impl SweepPoint {
     fn events_per_sec_per_shard(&self) -> f64 {
         self.polls as f64 * 1e9 / self.wall_ns.max(1) as f64 / self.shards as f64
     }
-
-    /// Share of the run's wall-clock this shard spent blocked on the
-    /// window barrier — the conservative protocol's synchronization cost.
-    fn barrier_pct(&self, s: &sim::shard::ShardStats) -> f64 {
-        s.barrier_wait_ns as f64 * 100.0 / self.wall_ns.max(1) as f64
-    }
 }
 
 struct ShardSweep {
     records_per_producer: usize,
     window: usize,
     hw_threads: usize,
-    lookahead_ns: u64,
     points: Vec<SweepPoint>,
     /// Parallel-mode sampler gate: best-of-2 each way at the largest shard
     /// count, with a 100 µs virtual-time sampler running in every group.
@@ -1153,7 +1147,7 @@ fn sweep_group(
 fn run_shard_sweep(cfg: &Config) -> ShardSweep {
     let records_per_producer = (cfg.records / SWEEP_PRODUCERS).max(50);
     let opts = ClusterOptions::default();
-    // (wall_ns, records, samples, polls, stats)
+    // (wall_ns, records, samples, polls)
     let run_once = |shards: usize, sampled: bool| {
         let t0 = Instant::now();
         let run = run_sharded_groups(shards, SWEEP_GROUPS, SWEEP_SEED, &opts, |ctx: &GroupCtx| {
@@ -1163,17 +1157,16 @@ fn run_shard_sweep(cfg: &Config) -> ShardSweep {
         let records: u64 = run.groups.iter().map(|g| g.result.0).sum();
         let samples: u64 = run.groups.iter().map(|g| g.result.1).sum();
         let polls: u64 = run.stats.iter().map(|s| s.polls).sum();
-        (wall_ns, records, samples, polls, run.stats)
+        (wall_ns, records, samples, polls)
     };
     let mut points: Vec<SweepPoint> = Vec::new();
     for &shards in &cfg.shards {
-        let (wall_ns, records, _, polls, stats) = run_once(shards, false);
+        let (wall_ns, records, _, polls) = run_once(shards, false);
         points.push(SweepPoint {
             shards,
             wall_ns,
             records,
             polls,
-            stats,
         });
     }
     // Every shard count must have simulated the identical workload.
@@ -1217,7 +1210,6 @@ fn run_shard_sweep(cfg: &Config) -> ShardSweep {
         hw_threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        lookahead_ns: opts.profile.lookahead().as_nanos() as u64,
         points,
         sampler_shards: gate_shards,
         sampler,
@@ -1229,26 +1221,6 @@ fn json_sweep(s: &ShardSweep) -> String {
         .points
         .iter()
         .map(|p| {
-            let shard_rows: Vec<String> = p
-                .stats
-                .iter()
-                .map(|st| {
-                    format!(
-                        concat!(
-                            "{{ \"shard\": {}, \"windows\": {}, \"polls\": {}, ",
-                            "\"sent\": {}, \"received\": {}, ",
-                            "\"barrier_wait_ns\": {}, \"barrier_wait_pct\": {:.1} }}"
-                        ),
-                        st.shard,
-                        st.windows,
-                        st.polls,
-                        st.sent,
-                        st.received,
-                        st.barrier_wait_ns,
-                        p.barrier_pct(st),
-                    )
-                })
-                .collect();
             format!(
                 concat!(
                     "{{\n",
@@ -1258,8 +1230,7 @@ fn json_sweep(s: &ShardSweep) -> String {
                     "        \"records_per_sec\": {:.0},\n",
                     "        \"executor_polls\": {},\n",
                     "        \"events_per_sec_per_shard\": {:.0},\n",
-                    "        \"speedup_vs_1shard\": {:.2},\n",
-                    "        \"shard_stats\": [\n          {}\n        ]\n",
+                    "        \"speedup_vs_1shard\": {:.2}\n",
                     "      }}"
                 ),
                 p.shards,
@@ -1269,7 +1240,6 @@ fn json_sweep(s: &ShardSweep) -> String {
                 p.polls,
                 p.events_per_sec_per_shard(),
                 s.speedup(p),
-                shard_rows.join(",\n          "),
             )
         })
         .collect();
@@ -1285,7 +1255,6 @@ fn json_sweep(s: &ShardSweep) -> String {
             "      \"window\": {}\n",
             "    }},\n",
             "    \"hw_threads\": {},\n",
-            "    \"lookahead_ns\": {},\n",
             "    \"configs\": [\n      {}\n    ],\n",
             "    \"sampler_overhead\": {{\n",
             "      \"shards\": {},\n",
@@ -1305,7 +1274,6 @@ fn json_sweep(s: &ShardSweep) -> String {
         s.records_per_producer,
         s.window,
         s.hw_threads,
-        s.lookahead_ns,
         pts.join(",\n      "),
         s.sampler_shards,
         s.sampler.base_rps,
@@ -1557,39 +1525,32 @@ fn write_summary(
     md.push_str(&format!(
         "\nSharded parallel simulation (DESIGN.md §12): {} groups × \
          (1 broker + {} exclusive-RDMA producers) = {} brokers / {} \
-         producer clients, {} records/producer, lookahead {} ns, on a \
+         producer clients, {} records/producer, on a \
          {}-hardware-thread host:\n\n",
         SWEEP_GROUPS,
         SWEEP_PRODUCERS,
         SWEEP_GROUPS,
         SWEEP_GROUPS * SWEEP_PRODUCERS,
         sweep.records_per_producer,
-        sweep.lookahead_ns,
         sweep.hw_threads,
     ));
     md.push_str(
-        "| shards | wall ms | records/s | events/s/shard | speedup vs 1 | max barrier wait |\n|---|---|---|---|---|---|\n",
+        "| shards | wall ms | records/s | events/s/shard | speedup vs 1 |\n|---|---|---|---|---|\n",
     );
     for p in &sweep.points {
-        let max_barrier = p
-            .stats
-            .iter()
-            .map(|st| p.barrier_pct(st))
-            .fold(0.0f64, f64::max);
         md.push_str(&format!(
-            "| {} | {:.0} | {:.0} | {:.0} | {:.2}× | {:.1}% |\n",
+            "| {} | {:.0} | {:.0} | {:.0} | {:.2}× |\n",
             p.shards,
             p.wall_ns as f64 / 1e6,
             p.records_per_sec(),
             p.events_per_sec_per_shard(),
             sweep.speedup(p),
-            max_barrier,
         ));
     }
     md.push_str(
         "\nWall-clock speedup needs at least as many hardware threads as \
-         shards; on fewer cores the sweep measures barrier/windowing \
-         overhead only (threads time-slice one core). Equivalence of the \
+         shards; on fewer cores the shard threads time-slice the \
+         available ones. Equivalence of the \
          simulated history across shard counts is asserted separately by \
          `tests/shard_equivalence.rs`.\n",
     );
@@ -1759,23 +1720,17 @@ fn main() {
     }
 
     // Sharded parallel-simulation sweep: the identical grouped topology at
-    // each shard count, wall-clock + barrier-wait attribution per shard.
+    // each shard count, wall-clock and throughput per point.
     let sweep = run_shard_sweep(&cfg);
     for p in &sweep.points {
-        let max_barrier = p
-            .stats
-            .iter()
-            .map(|st| p.barrier_pct(st))
-            .fold(0.0f64, f64::max);
         println!(
-            "  {:<16} {} shard(s): {:>6.0} ms wall  {:>9.0} rec/s  {:>9.0} events/s/shard  {:.2}x vs 1  max barrier {:.1}%",
+            "  {:<16} {} shard(s): {:>6.0} ms wall  {:>9.0} rec/s  {:>9.0} events/s/shard  {:.2}x vs 1",
             "sharded_sweep",
             p.shards,
             p.wall_ns as f64 / 1e6,
             p.records_per_sec(),
             p.events_per_sec_per_shard(),
             sweep.speedup(p),
-            max_barrier,
         );
     }
     if sweep.hw_threads < sweep.points.iter().map(|p| p.shards).max().unwrap_or(1) {

@@ -35,7 +35,7 @@ pub mod events;
 pub mod shardsim;
 pub mod systems;
 
-pub use cluster::{ClusterOptions, Placement, SimCluster};
+pub use cluster::{ClusterOptions, SimCluster};
 pub use shardsim::{run_sharded_groups, GroupCtx, GroupOutcome, ShardedRun};
 pub use systems::SystemKind;
 

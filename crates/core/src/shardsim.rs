@@ -4,12 +4,9 @@
 //! fabric, brokers, and clients all share `Rc` state on one runtime. To
 //! scale past what one core can simulate, a sharded run partitions the
 //! topology into **groups** — each a complete cluster plus its client
-//! machines — and places group `g` on worker shard `g % shards`
-//! ([`Placement::of_group`]). Shards advance their virtual clocks
-//! independently inside conservative lookahead windows (see [`sim::shard`]);
-//! anything crossing group boundaries rides the shard mailboxes via
-//! [`netsim::xshard`], stamped with a virtual delivery time no earlier than
-//! the fabric's propagation delay.
+//! machines — and places group `g` on worker shard `g % shards`. Groups
+//! share nothing, so each shard is a plain `block_on` of its groups'
+//! workloads on its own thread (see [`sim::shard`]).
 //!
 //! # Determinism contract
 //!
@@ -30,13 +27,10 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use netsim::xshard::{XPacket, XShardNet};
-use sim::shard::{run_sharded, ShardOptions, ShardStats};
+use sim::shard::{run_sharded, ShardStats};
 
-pub use crate::cluster::Placement;
 use crate::cluster::ClusterOptions;
 
 /// A boxed `!Send` future, the workload type group bodies return.
@@ -46,29 +40,14 @@ pub type LocalFuture<T> = Pin<Box<dyn Future<Output = T> + 'static>>;
 pub struct GroupCtx {
     /// Group index in `0..groups`.
     pub group: usize,
-    /// Shard that owns this group (`group % shards`).
-    pub shard: usize,
-    /// Total shard count.
-    pub shards: usize,
-    /// Cluster options with [`ClusterOptions::placement`] filled in; pass
-    /// to [`SimCluster::start_with`](crate::SimCluster::start_with).
+    /// Cluster options with [`ClusterOptions::group`] filled in; pass to
+    /// [`SimCluster::start_with`](crate::SimCluster::start_with).
     pub opts: ClusterOptions,
     /// This group's telemetry registry — ambient during every poll of the
     /// workload, so components the workload constructs report here.
     pub registry: kdtelem::Registry,
     /// This group's fault injector, ambient like the registry.
     pub injector: kdfault::Injector,
-    /// Cross-group mailbox router for this shard. Group `g` conventionally
-    /// binds endpoint `g`; sending to group `h` targets shard
-    /// `h % shards`, endpoint `h`.
-    pub net: Rc<XShardNet>,
-}
-
-impl GroupCtx {
-    /// Shard owning group `g` under this run's placement.
-    pub fn shard_of(&self, group: usize) -> usize {
-        group % self.shards
-    }
 }
 
 /// One group's completed run.
@@ -85,7 +64,7 @@ pub struct GroupOutcome<T> {
 }
 
 /// A completed sharded run: per-group outcomes (sorted by group index) and
-/// per-shard scheduler statistics (barrier waits, windows, mailbox counts).
+/// per-shard execution statistics (polls, final virtual time).
 pub struct ShardedRun<T> {
     pub groups: Vec<GroupOutcome<T>>,
     pub stats: Vec<ShardStats>,
@@ -132,8 +111,9 @@ pub fn scoped<F: Future>(
 /// returns the group's workload future; the harness polls every co-resident
 /// group's workload concurrently on the shard runtime, with that group's
 /// registry and injector ambient. The caller's `opts` are cloned per group
-/// with [`ClusterOptions::placement`] filled in — the body is expected to
+/// with [`ClusterOptions::group`] filled in — the body is expected to
 /// start its cluster with `SimCluster::start_with(system, n, ctx.opts)`.
+/// A shard that owns no group (`shards > groups`) returns at once.
 ///
 /// `shards = 1` degenerates to the classic single-runtime simulation (all
 /// groups interleaved on one virtual clock) and is the reference
@@ -150,11 +130,7 @@ where
     F: Fn(&GroupCtx) -> LocalFuture<T> + Sync,
 {
     assert!(shards >= 1 && groups >= 1);
-    let lookahead = opts.profile.lookahead();
-    let sopts = ShardOptions::new(shards, lookahead, seed);
-    let run = run_sharded::<XPacket, Vec<GroupOutcome<T>>, _>(&sopts, |ctx| {
-        let shard = ctx.shard();
-        let router = XShardNet::install(ctx, &opts.profile.net);
+    let run = run_sharded(shards, seed, |shard| {
         // Build each group's ambient state and workload future up front, in
         // group order, so the construction sequence on a shard is a pure
         // function of which groups it owns. The futures are lazy — the
@@ -168,21 +144,18 @@ where
                 let injector = kdfault::Injector::new();
                 let gctx = GroupCtx {
                     group: g,
-                    shard,
-                    shards,
                     opts: ClusterOptions {
-                        placement: Some(Placement::of_group(g, shards)),
+                        group: Some(g),
                         ..opts.clone()
                     },
                     registry: registry.clone(),
                     injector: injector.clone(),
-                    net: Rc::clone(&router),
                 };
                 let fut = body(&gctx);
                 (g, registry, injector, fut)
             })
             .collect();
-        ctx.run(async move {
+        async move {
             let mut handles = Vec::new();
             for (g, registry, injector, fut) in worlds {
                 let handle = sim::spawn(scoped(&registry, &injector, fut));
@@ -200,7 +173,7 @@ where
                 });
             }
             out
-        })
+        }
     });
     let mut all: Vec<GroupOutcome<T>> = run.results.into_iter().flatten().collect();
     all.sort_by_key(|o| o.group);
@@ -215,7 +188,6 @@ mod tests {
     use super::*;
     use crate::SystemKind;
     use kdstorage::Record;
-    use std::time::Duration;
 
     fn produce_group(ctx: &GroupCtx, records: u64) -> LocalFuture<Vec<u64>> {
         let opts = ctx.opts.clone();
@@ -239,7 +211,9 @@ mod tests {
 
     #[test]
     fn groups_run_identically_on_any_shard_count() {
-        let digests: Vec<Vec<(Vec<u64>, u64)>> = [1usize, 2, 3]
+        // shards = 4 leaves shard 3 without a group: it must finish at once
+        // with an empty result, never touching the virtual clock.
+        let digests: Vec<Vec<(Vec<u64>, u64)>> = [1usize, 2, 3, 4]
             .iter()
             .map(|&shards| {
                 let run = run_sharded_groups(
@@ -250,6 +224,9 @@ mod tests {
                     |ctx: &GroupCtx| produce_group(ctx, 8),
                 );
                 assert_eq!(run.stats.len(), shards);
+                for idle in run.stats.iter().skip(3) {
+                    assert_eq!((idle.polls, idle.end_ns), (1, 0), "shard {}", idle.shard);
+                }
                 run.groups
                     .iter()
                     .map(|g| {
@@ -263,40 +240,7 @@ mod tests {
             .collect();
         assert_eq!(digests[0], digests[1]);
         assert_eq!(digests[0], digests[2]);
+        assert_eq!(digests[0], digests[3]);
         assert!(!digests[0].is_empty());
-    }
-
-    #[test]
-    fn cross_group_beacons_cross_shards() {
-        // Every group >0 pings group 0 through the mailbox router; group 0
-        // counts arrivals. Exercises self-ring (group 2 shares shard 0) and
-        // cross-thread rings in one topology.
-        let run = run_sharded_groups(
-            2,
-            3,
-            11,
-            &ClusterOptions::default(),
-            |ctx: &GroupCtx| {
-                let group = ctx.group;
-                let net = Rc::clone(&ctx.net);
-                let home = ctx.shard_of(0);
-                let count = Rc::new(std::cell::Cell::new(0u64));
-                if group == 0 {
-                    let c = Rc::clone(&count);
-                    net.bind(0, move |_| c.set(c.get() + 1));
-                }
-                Box::pin(async move {
-                    if group == 0 {
-                        while count.get() < 2 {
-                            sim::time::sleep(Duration::from_micros(10)).await;
-                        }
-                    } else {
-                        net.send(home, 0, group as u64, vec![group as u8]);
-                    }
-                    count.get()
-                })
-            },
-        );
-        assert_eq!(run.groups[0].result, 2);
     }
 }

@@ -45,7 +45,8 @@
 //!
 //! # Sharded simulation (DESIGN.md §12)
 //!
-//! Under the parallel executor (`sim::shard`), every instrument stays
+//! Under the share-nothing parallel executor (`sim::shard`: one thread and
+//! one runtime per shard), every instrument stays
 //! **shard-local without hot-path synchronization or allocation**: a
 //! [`Registry`] is `Rc` state owned by one worker thread, the trace/span
 //! rings are bounded `VecDeque`s that drop (and count) overflow instead of

@@ -1,58 +1,26 @@
-//! Conservative parallel discrete-event execution: the cluster is
-//! partitioned onto `N` worker shards, each owning a full single-threaded
-//! [`Runtime`] (its own timer wheel, ready queue, task arena, and RNG
-//! stream), advancing in lockstep lookahead windows.
+//! Share-nothing parallel execution: `N` worker shards, each an OS thread
+//! driving its own single-threaded [`Runtime`] (own timer wheel, ready
+//! queue, task arena, and RNG stream) with a plain [`Runtime::block_on`].
 //!
-//! # Protocol (null-message-free bounded windows)
-//!
-//! Every round, each shard reports its next local event time; a barrier
-//! min-reduction yields the global minimum `g`, and every shard then
-//! executes all of its events with virtual time strictly below
-//! `g + lookahead`. Cross-shard messages are stamped with a virtual
-//! delivery time at least `lookahead` past the sender's clock, so nothing
-//! sent during a window can be due inside it — messages exchanged at the
-//! end-of-round barrier are always for a later window, which makes the
-//! barrier-then-exchange schedule causally safe (classic YAWNS-style
-//! conservative synchronization).
+//! Shards never exchange events: a caller places whole, independent
+//! simulated worlds on a shard, so every shard's virtual clock advances on
+//! its own and no synchronization is needed between them.
 //!
 //! # Determinism
 //!
 //! * Each shard's runtime is seeded independently ([`shard_seed`]); shard 0
 //!   receives the caller's seed unchanged, so a 1-shard run is bit-identical
-//!   to a legacy [`Runtime::block_on`] of the same program.
-//! * Incoming messages are drained at the barrier and sorted by
-//!   `(deliver_at, stream, seq)` before their delivery tasks are spawned.
-//!   `stream` is a caller-chosen id (e.g. a simulated link) and `seq` a
-//!   per-stream counter, so the sort key is independent of shard placement
-//!   and wall-clock arrival order — the same workload split across a
-//!   different shard count delivers in the same virtual order.
-//! * A shard stops executing the moment its root future completes (the
-//!   eager stop mirrors `block_on`'s immediate return) but keeps
-//!   participating in barriers, reporting "no events", until every shard is
-//!   quiescent.
+//!   to a [`Runtime::block_on`] of the same program.
+//! * A shard's history is a function of its seed and of the future its body
+//!   builds, never of wall-clock scheduling across threads.
 
-use std::cell::{Cell, RefCell, UnsafeCell};
-use std::collections::HashMap;
 use std::future::Future;
-use std::mem::MaybeUninit;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::executor::Runtime;
-use crate::time::SimTime;
-
-/// Sentinel next-event time for a shard with nothing left to do.
-const IDLE: u64 = u64::MAX;
-
-/// Capacity of each SPSC mailbox ring (messages per window per directed
-/// shard pair before the spill path engages). Power of two.
-const RING_CAP: usize = 1024;
 
 /// Per-shard RNG stream: shard 0 keeps the caller's seed unchanged (so one
-/// shard reproduces the legacy single-runtime execution bit-for-bit);
-/// higher shards get a splitmix64-derived stream.
+/// shard reproduces the single-runtime execution bit-for-bit); higher
+/// shards get a splitmix64-derived stream.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     if shard == 0 {
         return seed;
@@ -64,477 +32,14 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A cross-shard event: opaque payload plus the virtual time it becomes
-/// visible on the destination shard and its canonical ordering stamp.
-struct XMsg<M> {
-    deliver_at: u64,
-    stream: u64,
-    seq: u64,
-    msg: M,
-}
-
-// ---------------------------------------------------------------------------
-// Bounded SPSC mailbox ring.
-// ---------------------------------------------------------------------------
-
-/// A bounded single-producer/single-consumer ring. The producer is the
-/// source shard's worker thread; the consumer is the destination shard's.
-/// The conservative protocol additionally phase-separates the two (pushes
-/// happen during window execution, pops only after the end-of-round
-/// barrier), but the ring is a correct lock-free SPSC queue regardless.
-/// Overflow beyond [`RING_CAP`] in one window takes the mutexed spill path.
-struct SpscRing<M> {
-    head: AtomicUsize,
-    tail: AtomicUsize,
-    slots: Box<[UnsafeCell<MaybeUninit<XMsg<M>>>]>,
-    spill: Mutex<Vec<XMsg<M>>>,
-    spilled: AtomicU64,
-}
-
-// SAFETY: slot `i` is written only by the producer before the tail store
-// that publishes it, and read only by the consumer after the matching
-// acquire load; head/tail ownership never changes sides.
-unsafe impl<M: Send> Send for SpscRing<M> {}
-unsafe impl<M: Send> Sync for SpscRing<M> {}
-
-impl<M> SpscRing<M> {
-    fn new() -> Self {
-        SpscRing {
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            slots: (0..RING_CAP)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            spill: Mutex::new(Vec::new()),
-            spilled: AtomicU64::new(0),
-        }
-    }
-
-    /// Producer side only.
-    fn push(&self, msg: XMsg<M>) {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= RING_CAP {
-            self.spilled.fetch_add(1, Ordering::Relaxed);
-            self.spill.lock().unwrap().push(msg);
-            return;
-        }
-        // SAFETY: the slot at `tail` is vacant (consumer is past it) and no
-        // other producer exists.
-        unsafe { (*self.slots[tail % RING_CAP].get()).write(msg) };
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Consumer side only.
-    fn pop(&self) -> Option<XMsg<M>> {
-        let head = self.head.load(Ordering::Relaxed);
-        if self.tail.load(Ordering::Acquire) == head {
-            return None;
-        }
-        // SAFETY: the slot at `head` was published by the release store of
-        // the tail; after this read it is vacant.
-        let msg = unsafe { (*self.slots[head % RING_CAP].get()).assume_init_read() };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        Some(msg)
-    }
-
-    /// Consumer side: everything currently visible, ring first then spill.
-    fn drain_into(&self, out: &mut Vec<XMsg<M>>) {
-        while let Some(m) = self.pop() {
-            out.push(m);
-        }
-        let mut spill = self.spill.lock().unwrap();
-        out.append(&mut spill);
-    }
-}
-
-impl<M> Drop for SpscRing<M> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Abortable barrier with min-reduction.
-// ---------------------------------------------------------------------------
-
-/// Error returned from barrier waits after a peer shard panicked; the
-/// observing worker re-panics so no thread parks forever on a dead barrier.
-#[derive(Debug)]
-struct PeerPanicked;
-
-struct AbortableBarrier {
-    n: usize,
-    state: Mutex<BarrierState>,
-    cvar: Condvar,
-}
-
-struct BarrierState {
-    count: usize,
-    generation: u64,
-    aborted: bool,
-}
-
-impl AbortableBarrier {
-    fn new(n: usize) -> Self {
-        AbortableBarrier {
-            n,
-            state: Mutex::new(BarrierState {
-                count: 0,
-                generation: 0,
-                aborted: false,
-            }),
-            cvar: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) -> Result<(), PeerPanicked> {
-        let mut s = self.state.lock().unwrap();
-        if s.aborted {
-            return Err(PeerPanicked);
-        }
-        let gen = s.generation;
-        s.count += 1;
-        if s.count == self.n {
-            s.count = 0;
-            s.generation += 1;
-            self.cvar.notify_all();
-            return Ok(());
-        }
-        while s.generation == gen && !s.aborted {
-            s = self.cvar.wait(s).unwrap();
-        }
-        if s.aborted {
-            return Err(PeerPanicked);
-        }
-        Ok(())
-    }
-
-    fn abort(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.aborted = true;
-        self.cvar.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pool state and worker context.
-// ---------------------------------------------------------------------------
-
-/// Tuning for a sharded run.
-#[derive(Debug, Clone)]
-pub struct ShardOptions {
-    /// Worker shard count (`>= 1`).
-    pub shards: usize,
-    /// Conservative lookahead: every cross-shard send must be stamped at
-    /// least this far past the sender's clock. Derive it from the minimum
-    /// cross-shard link propagation latency of the simulated topology.
-    pub lookahead: Duration,
-    /// Base RNG seed; see [`shard_seed`].
-    pub seed: u64,
-}
-
-impl ShardOptions {
-    pub fn new(shards: usize, lookahead: Duration, seed: u64) -> Self {
-        ShardOptions {
-            shards,
-            lookahead,
-            seed,
-        }
-    }
-}
-
-/// Per-shard execution statistics, for the bench sweep's barrier-wait
-/// attribution.
+/// Per-shard execution statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
     pub shard: usize,
-    /// Synchronization rounds driven to completion.
-    pub windows: u64,
-    /// Wall-clock time parked at barriers (sync overhead, not simulation).
-    pub barrier_wait_ns: u64,
     /// Task polls executed by this shard's runtime.
     pub polls: u64,
-    /// Cross-shard messages sent / received by this shard.
-    pub sent: u64,
-    pub received: u64,
-    /// Messages that overflowed a mailbox ring into the spill path.
-    pub spilled: u64,
     /// Final virtual time of the shard's clock.
     pub end_ns: u64,
-}
-
-struct PoolShared<M> {
-    shards: usize,
-    lookahead: u64,
-    barrier: AbortableBarrier,
-    /// Double-buffered min-reduction slots, indexed by round parity: a
-    /// shard resets the *other* slot before the round barrier, so the
-    /// reset is always ordered before any peer's next fetch_min.
-    next_min: [AtomicU64; 2],
-    /// `shards * shards` SPSC rings, indexed `src * shards + dst`.
-    rings: Vec<SpscRing<M>>,
-}
-
-impl<M> PoolShared<M> {
-    fn ring(&self, src: usize, dst: usize) -> &SpscRing<M> {
-        &self.rings[src * self.shards + dst]
-    }
-}
-
-/// Cloneable cross-shard sender handle. Deliberately `!Send`: each handle
-/// belongs to the worker thread of the shard it was created on (the "SP"
-/// side of the SPSC rings).
-pub struct XSender<M: Send + 'static> {
-    shared: Arc<PoolShared<M>>,
-    src: usize,
-    /// Per-stream sequence counters; the `(deliver_at, stream, seq)` stamp
-    /// must not depend on shard placement, so streams are caller-defined.
-    streams: Rc<RefCell<HashMap<u64, u64>>>,
-    sent: Rc<Cell<u64>>,
-}
-
-impl<M: Send + 'static> Clone for XSender<M> {
-    fn clone(&self) -> Self {
-        XSender {
-            shared: Arc::clone(&self.shared),
-            src: self.src,
-            streams: Rc::clone(&self.streams),
-            sent: Rc::clone(&self.sent),
-        }
-    }
-}
-
-impl<M: Send + 'static> XSender<M> {
-    /// Ships `msg` to shard `dst`, visible there at virtual time
-    /// `deliver_at`. `stream` orders same-instant deliveries canonically
-    /// (use a stable id of the simulated source, e.g. a link or node id).
-    ///
-    /// # Panics
-    /// Panics if `deliver_at` is less than `lookahead` past the calling
-    /// shard's clock — such a send would violate the conservative window
-    /// protocol and could be observed late.
-    pub fn send(&self, dst: usize, deliver_at: SimTime, stream: u64, msg: M) {
-        let deliver_at = deliver_at.as_nanos();
-        if let Some(now) = crate::time::try_now() {
-            assert!(
-                deliver_at >= now.as_nanos() + self.shared.lookahead,
-                "sim::shard: send violates lookahead (deliver_at={}ns, now={}ns, lookahead={}ns)",
-                deliver_at,
-                now.as_nanos(),
-                self.shared.lookahead,
-            );
-        }
-        let seq = {
-            let mut streams = self.streams.borrow_mut();
-            let c = streams.entry(stream).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        self.sent.set(self.sent.get() + 1);
-        self.shared.ring(self.src, dst).push(XMsg {
-            deliver_at,
-            stream,
-            seq,
-            msg,
-        });
-    }
-}
-
-type Handler<M> = Box<dyn FnMut(M)>;
-
-/// One worker shard's execution context, handed to the body closure on the
-/// shard's own thread. Owns the shard [`Runtime`].
-pub struct ShardCtx<M: Send + 'static> {
-    shard: usize,
-    shared: Arc<PoolShared<M>>,
-    rt: Runtime,
-    handler: Rc<RefCell<Option<Handler<M>>>>,
-    streams: Rc<RefCell<HashMap<u64, u64>>>,
-    sent: Rc<Cell<u64>>,
-    received: Cell<u64>,
-    windows: Cell<u64>,
-    barrier_wait: Cell<u64>,
-    ran: Cell<bool>,
-}
-
-impl<M: Send + 'static> ShardCtx<M> {
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    pub fn shards(&self) -> usize {
-        self.shared.shards
-    }
-
-    pub fn lookahead(&self) -> Duration {
-        Duration::from_nanos(self.shared.lookahead)
-    }
-
-    pub fn runtime(&self) -> &Runtime {
-        &self.rt
-    }
-
-    /// Registers the delivery handler: called once per incoming message, on
-    /// this shard's thread, inside the runtime, at the message's stamped
-    /// virtual delivery time.
-    pub fn set_handler(&self, h: impl FnMut(M) + 'static) {
-        *self.handler.borrow_mut() = Some(Box::new(h));
-    }
-
-    /// A sender handle for cross-shard messages (cloneable, thread-local).
-    pub fn sender(&self) -> XSender<M> {
-        XSender {
-            shared: Arc::clone(&self.shared),
-            src: self.shard,
-            streams: Rc::clone(&self.streams),
-            sent: Rc::clone(&self.sent),
-        }
-    }
-
-    /// Runs `future` as this shard's root task under the windowed
-    /// conservative protocol, synchronizing with the other shards. Returns
-    /// the root's output once it completes; the shard then idles through
-    /// the remaining rounds until every shard is done.
-    ///
-    /// # Panics
-    /// Panics on global quiescence with this shard's root still pending
-    /// (the sharded equivalent of `block_on`'s deadlock panic), or when a
-    /// peer shard panicked.
-    pub fn run<F>(&self, future: F) -> F::Output
-    where
-        F: Future + 'static,
-        F::Output: 'static,
-    {
-        assert!(!self.ran.replace(true), "ShardCtx::run called twice");
-        let _guard = self.rt.enter();
-        let root = self.rt.spawn_root(future);
-        let inner = Rc::clone(self.rt.inner());
-        let mut done = false;
-        let mut round: u64 = 0;
-        let mut inbox: Vec<XMsg<M>> = Vec::new();
-        // Bound of the window to execute this round; round 0 skips straight
-        // to the reduction so every shard's initial events are counted.
-        let mut bound: Option<u64> = None;
-
-        loop {
-            // 1. Execute this round's window.
-            if let Some(b) = bound {
-                if !done {
-                    done = inner.run_window(b, &mut || root.is_done());
-                }
-            }
-
-            // 2. Barrier: every shard finished its window, so every message
-            //    bound for this shard is visible in the rings.
-            if self.wait().is_err() {
-                panic!("sim::shard: peer shard panicked");
-            }
-
-            // 3. Drain incoming mailboxes and schedule deliveries in the
-            //    canonical (deliver_at, stream, seq) order.
-            debug_assert!(inbox.is_empty());
-            for src in 0..self.shared.shards {
-                self.shared.ring(src, self.shard).drain_into(&mut inbox);
-            }
-            let mut local_next = if done {
-                IDLE
-            } else if inner.has_ready() {
-                inner.now_nanos()
-            } else {
-                inner.peek_next_deadline().unwrap_or(IDLE)
-            };
-            if !inbox.is_empty() {
-                self.received.set(self.received.get() + inbox.len() as u64);
-                if done {
-                    // Mirrors block_on: the world stops with the root.
-                    inbox.clear();
-                } else {
-                    inbox.sort_by_key(|m| (m.deliver_at, m.stream, m.seq));
-                    let now = inner.now_nanos();
-                    for m in inbox.drain(..) {
-                        debug_assert!(
-                            m.deliver_at > now,
-                            "delivery stamped at/behind the shard clock"
-                        );
-                        local_next = local_next.min(m.deliver_at);
-                        let handler = Rc::clone(&self.handler);
-                        let at = SimTime::from_nanos(m.deliver_at);
-                        let msg = m.msg;
-                        crate::spawn_detached(async move {
-                            crate::time::sleep_until(at).await;
-                            let h = &mut *handler.borrow_mut();
-                            let h = h
-                                .as_mut()
-                                .expect("sim::shard: message arrived with no handler set");
-                            h(msg);
-                        });
-                    }
-                    // Park the delivery tasks on their timers now so the
-                    // wheel (not the ready queue) carries them into the
-                    // next window.
-                    inner.drain_ready(&mut || false);
-                }
-            }
-
-            // 4. Min-reduce next-event times; reset the other parity slot
-            //    for the round after next before anyone can reach it.
-            let slot = (round % 2) as usize;
-            self.shared.next_min[slot].fetch_min(local_next, Ordering::AcqRel);
-            self.shared.next_min[1 - slot].store(IDLE, Ordering::Release);
-            if self.wait().is_err() {
-                panic!("sim::shard: peer shard panicked");
-            }
-            let global_next = self.shared.next_min[slot].load(Ordering::Acquire);
-            self.windows.set(self.windows.get() + 1);
-            round += 1;
-
-            if global_next == IDLE {
-                break;
-            }
-            bound = Some(global_next.saturating_add(self.shared.lookahead));
-        }
-
-        match root.take() {
-            Some(out) => out,
-            None => panic!(
-                "sim: deadlock — shard {} root future pending at global quiescence (t={}ns)",
-                self.shard,
-                inner.now_nanos()
-            ),
-        }
-    }
-
-    /// Post-run statistics for this shard.
-    pub fn stats(&self) -> ShardStats {
-        let spilled = (0..self.shared.shards)
-            .map(|dst| {
-                self.shared
-                    .ring(self.shard, dst)
-                    .spilled
-                    .load(Ordering::Relaxed)
-            })
-            .sum();
-        ShardStats {
-            shard: self.shard,
-            windows: self.windows.get(),
-            barrier_wait_ns: self.barrier_wait.get(),
-            polls: self.rt.poll_count(),
-            sent: self.sent.get(),
-            received: self.received.get(),
-            spilled,
-            end_ns: self.rt.now().as_nanos(),
-        }
-    }
-
-    fn wait(&self) -> Result<(), PeerPanicked> {
-        let t0 = Instant::now();
-        let r = self.shared.barrier.wait();
-        self.barrier_wait
-            .set(self.barrier_wait.get() + t0.elapsed().as_nanos() as u64);
-        r
-    }
 }
 
 /// Output of [`run_sharded`]: per-shard body results and execution stats,
@@ -544,77 +49,52 @@ pub struct ShardRun<T> {
     pub stats: Vec<ShardStats>,
 }
 
-/// Runs `body` once per shard on its own OS thread. The body receives the
-/// shard's [`ShardCtx`], builds its slice of the simulated world there
-/// (simulation state is `!Send` by design), and drives it via
-/// [`ShardCtx::run`].
+/// Runs `body` once per shard on its own OS thread (named `shard-<i>`).
+/// The body receives the shard id and builds that shard's root future on
+/// the thread (simulation state is `!Send` by design); a fresh runtime
+/// seeded with [`shard_seed`] drives it to completion.
 ///
-/// Message type `M` is the cross-shard payload; pick one per harness (e.g.
-/// a serialized packet for netsim routing).
-pub fn run_sharded<M, T, F>(opts: &ShardOptions, body: F) -> ShardRun<T>
+/// # Panics
+/// Re-raises the first panicking shard's payload (a deadlocked root
+/// included) once every shard has finished.
+pub fn run_sharded<T, Fut, F>(shards: usize, seed: u64, body: F) -> ShardRun<T>
 where
-    M: Send + 'static,
-    T: Send,
-    F: Fn(&ShardCtx<M>) -> T + Sync,
+    T: Send + 'static,
+    Fut: Future<Output = T> + 'static,
+    F: Fn(usize) -> Fut + Sync,
 {
-    let n = opts.shards;
-    assert!(n >= 1, "need at least one shard");
-    let lookahead = u64::try_from(opts.lookahead.as_nanos()).expect("lookahead fits u64");
-    assert!(lookahead >= 1, "lookahead must be at least 1ns");
-    let shared: Arc<PoolShared<M>> = Arc::new(PoolShared {
-        shards: n,
-        lookahead,
-        barrier: AbortableBarrier::new(n),
-        next_min: [AtomicU64::new(IDLE), AtomicU64::new(IDLE)],
-        rings: (0..n * n).map(|_| SpscRing::new()).collect(),
-    });
-
-    /// Aborts the barrier when the worker unwinds, so peers panic instead
-    /// of parking forever.
-    struct AbortOnPanic<M>(Arc<PoolShared<M>>);
-    impl<M> Drop for AbortOnPanic<M> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.barrier.abort();
-            }
-        }
-    }
-
+    assert!(shards >= 1, "need at least one shard");
     let body = &body;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
+        let handles: Vec<_> = (0..shards)
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                let seed = shard_seed(opts.seed, i);
-                scope.spawn(move || {
-                    let _abort = AbortOnPanic(Arc::clone(&shared));
-                    let ctx = ShardCtx {
-                        shard: i,
-                        shared,
-                        rt: Runtime::with_seed(seed),
-                        handler: Rc::new(RefCell::new(None)),
-                        streams: Rc::new(RefCell::new(HashMap::new())),
-                        sent: Rc::new(Cell::new(0)),
-                        received: Cell::new(0),
-                        windows: Cell::new(0),
-                        barrier_wait: Cell::new(0),
-                        ran: Cell::new(false),
-                    };
-                    let out = body(&ctx);
-                    (out, ctx.stats())
-                })
+                std::thread::Builder::new()
+                    .name(format!("shard-{i}"))
+                    .spawn_scoped(scope, move || {
+                        let rt = Runtime::with_seed(shard_seed(seed, i));
+                        let out = rt.block_on(body(i));
+                        let stats = ShardStats {
+                            shard: i,
+                            polls: rt.poll_count(),
+                            end_ns: rt.now().as_nanos(),
+                        };
+                        (out, stats)
+                    })
+                    .expect("spawn shard thread")
             })
             .collect();
-        let mut results = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        let mut results = Vec::with_capacity(shards);
+        let mut stats = Vec::with_capacity(shards);
+        let mut panic = None;
         for h in handles {
             match h.join() {
                 Ok((out, st)) => {
                     results.push(out);
                     stats.push(st);
                 }
-                Err(e) => panic = Some(e),
+                Err(e) => {
+                    panic.get_or_insert(e);
+                }
             }
         }
         if let Some(e) = panic {
@@ -628,16 +108,12 @@ where
 mod tests {
     use super::*;
     use crate::time::sleep;
-    use std::sync::atomic::AtomicU64;
-
-    fn opts(shards: usize, seed: u64) -> ShardOptions {
-        ShardOptions::new(shards, Duration::from_micros(5), seed)
-    }
+    use std::time::Duration;
 
     #[test]
     fn one_shard_matches_block_on() {
-        // The same program, same seed, run legacy and sharded: identical
-        // virtual timestamps and RNG draws.
+        // The same program, same seed, run on a plain runtime and sharded:
+        // identical virtual timestamps and RNG draws.
         async fn program() -> Vec<u64> {
             let mut out = Vec::new();
             for _ in 0..16 {
@@ -649,21 +125,18 @@ mod tests {
         }
         let rt = Runtime::with_seed(42);
         let legacy = rt.block_on(program());
-        let sharded = run_sharded::<(), _, _>(&opts(1, 42), |ctx| ctx.run(program()));
+        let sharded = run_sharded(1, 42, |_| program());
         assert_eq!(legacy, sharded.results[0]);
+        assert_eq!(sharded.stats[0].end_ns, *legacy.last().unwrap());
     }
 
     #[test]
-    fn clocks_advance_independently_between_barriers() {
+    fn clocks_advance_independently() {
         // Shards sleep different amounts; each clock lands exactly on its
         // own deadline, not on a global one.
-        let run = run_sharded::<(), _, _>(&opts(4, 7), |ctx| {
-            let shard = ctx.shard();
-            ctx.run(async move {
-                let ns = 1_000 * (shard as u64 + 1);
-                sleep(Duration::from_nanos(ns)).await;
-                crate::now().as_nanos()
-            })
+        let run = run_sharded(4, 7, |shard| async move {
+            sleep(Duration::from_nanos(1_000 * (shard as u64 + 1))).await;
+            crate::now().as_nanos()
         });
         assert_eq!(run.results, vec![1_000, 2_000, 3_000, 4_000]);
         let ends: Vec<u64> = run.stats.iter().map(|s| s.end_ns).collect();
@@ -671,154 +144,34 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_messages_deliver_at_stamped_times() {
-        let hits: Arc<Mutex<Vec<(usize, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let hits2 = Arc::clone(&hits);
-        let run = run_sharded::<u64, _, _>(&opts(2, 11), move |ctx| {
-            let shard = ctx.shard();
-            let hits = Arc::clone(&hits2);
-            ctx.set_handler(move |m| {
-                hits.lock()
-                    .unwrap()
-                    .push((shard, crate::now().as_nanos(), m));
-            });
-            let tx = ctx.sender();
-            ctx.run(async move {
-                if shard == 0 {
-                    // Send three messages to shard 1 at staggered times.
-                    for i in 0..3u64 {
-                        sleep(Duration::from_micros(10)).await;
-                        let at = SimTime::from_nanos(crate::now().as_nanos() + 5_000 + i);
-                        tx.send(1, at, 0, 100 + i);
-                    }
-                } else {
-                    // Keep shard 1 alive long enough to receive them.
-                    sleep(Duration::from_micros(60)).await;
-                }
-            })
-        });
-        let hits = hits.lock().unwrap();
-        assert_eq!(
-            *hits,
-            vec![
-                (1, 15_000, 100),
-                (1, 25_001, 101),
-                (1, 35_002, 102),
-            ]
-        );
-        assert_eq!(run.stats[0].sent, 3);
-        assert_eq!(run.stats[1].received, 3);
-    }
-
-    #[test]
-    fn same_instant_deliveries_order_by_stream_then_seq() {
-        // Shards 1 and 2 both send to shard 0 with the same deliver_at;
-        // delivery order must follow (stream, seq), not arrival order.
-        let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let log2 = Arc::clone(&log);
-        run_sharded::<u64, _, _>(&opts(3, 5), move |ctx| {
-            let shard = ctx.shard();
-            let log = Arc::clone(&log2);
-            ctx.set_handler(move |m| log.lock().unwrap().push(m));
-            let tx = ctx.sender();
-            ctx.run(async move {
-                match shard {
-                    0 => sleep(Duration::from_micros(100)).await,
-                    s => {
-                        // Both senders stamp the same delivery instant;
-                        // stream id = shard id.
-                        let at = SimTime::from_nanos(50_000);
-                        tx.send(0, at, s as u64, s as u64 * 10);
-                        tx.send(0, at, s as u64, s as u64 * 10 + 1);
-                    }
-                }
-            })
-        });
-        assert_eq!(*log.lock().unwrap(), vec![10, 11, 20, 21]);
-    }
-
-    #[test]
-    fn lookahead_violation_panics() {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded::<u64, _, _>(&opts(2, 1), |ctx| {
-                let tx = ctx.sender();
-                let shard = ctx.shard();
-                ctx.run(async move {
-                    if shard == 0 {
-                        // 1ns ahead < 5us lookahead: must panic.
-                        let at = SimTime::from_nanos(crate::now().as_nanos() + 1);
-                        tx.send(1, at, 0, 0);
-                    }
-                    sleep(Duration::from_micros(10)).await;
-                })
-            });
-        }));
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn peer_panic_does_not_hang_the_pool() {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded::<(), _, _>(&opts(2, 3), |ctx| {
-                let shard = ctx.shard();
-                ctx.run(async move {
-                    if shard == 1 {
-                        panic!("boom");
-                    }
-                    // Shard 0 would wait at the barrier forever without
-                    // abort propagation.
-                    sleep(Duration::from_millis(1)).await;
-                })
-            });
-        }));
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn spsc_ring_overflow_takes_spill_path() {
-        static RECEIVED: AtomicU64 = AtomicU64::new(0);
-        RECEIVED.store(0, Ordering::Relaxed);
-        let total = (RING_CAP + 100) as u64;
-        let run = run_sharded::<u64, _, _>(&opts(2, 9), move |ctx| {
-            let shard = ctx.shard();
-            ctx.set_handler(move |_| {
-                RECEIVED.fetch_add(1, Ordering::Relaxed);
-            });
-            let tx = ctx.sender();
-            ctx.run(async move {
-                if shard == 0 {
-                    // One burst larger than the ring within a single window.
-                    let at = SimTime::from_nanos(crate::now().as_nanos() + 100_000);
-                    for i in 0..total {
-                        tx.send(1, at, 0, i);
-                    }
-                } else {
-                    sleep(Duration::from_micros(200)).await;
+        let r = std::panic::catch_unwind(|| {
+            run_sharded(2, 3, |shard| async move {
+                if shard == 1 {
+                    panic!("boom");
                 }
-            })
+                sleep(Duration::from_millis(1)).await;
+            });
         });
-        assert_eq!(RECEIVED.load(Ordering::Relaxed), total);
-        assert!(run.stats[0].spilled > 0);
+        let e = r.unwrap_err();
+        assert_eq!(e.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]
     fn deadlock_panics_with_shard_id() {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded::<(), _, _>(&opts(2, 3), |ctx| {
-                let shard = ctx.shard();
-                ctx.run(async move {
-                    if shard == 1 {
-                        let (_tx, rx) = crate::sync::oneshot::channel::<()>();
-                        let _ = rx.await; // never resolves
-                    }
-                })
+        // The deadlock surfaces as a panic from the caller; the default
+        // panic hook names the shard through its thread name.
+        let r = std::panic::catch_unwind(|| {
+            run_sharded(2, 3, |shard| async move {
+                if shard == 1 {
+                    assert_eq!(std::thread::current().name(), Some("shard-1"));
+                    let (_tx, rx) = crate::sync::oneshot::channel::<()>();
+                    let _ = rx.await; // never resolves
+                }
             });
-        }));
+        });
         let e = r.unwrap_err();
-        let msg = e
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = e.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("deadlock"), "unexpected panic: {msg}");
     }
 }

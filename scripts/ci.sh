@@ -25,12 +25,12 @@ cargo test -q --offline --test chaos
 cargo test -q --offline --test durable
 
 # Parallel-simulation equivalence gate (DESIGN.md §12): the full chaos
-# workload must be bit-identical between the legacy block_on executor and
-# the sharded executor at shards=1 (order-sensitive trace digest), and a
-# 4-group chaos topology — seeded fault plans, crash/restart/failover —
-# must produce identical acked/consumed record sets and identical
-# canonically-ordered trace digests at shards=1 vs shards=4 across the
-# seed set. Runs in `cargo test` above too — kept explicit so a
+# workload must be bit-identical between a plain block_on and the sharded
+# executor at shards=1 (order-sensitive trace digest), and a 4-group chaos
+# topology — seeded fault plans, crash/restart/failover — must produce
+# identical acked/consumed record sets and identical canonically-ordered
+# trace digests whether all groups share one runtime (shards=1) or each
+# runs on its own shard thread (shards=4), across the seed set. Runs in `cargo test` above too — kept explicit so a
 # parallel-determinism regression is named in CI output. std threads only,
 # fully offline.
 cargo test -q --offline --test shard_equivalence
@@ -47,11 +47,8 @@ cargo test -q --offline --test shard_equivalence
 cargo test -q --offline --test conn_scaling
 
 # Timer-wheel property tests: exact (deadline, insertion-seq) expiry order
-# under arbitrary interleavings of inserts, bounded probes, and pops — both
-# on the raw wheel and for timers scheduled from cross-shard mailbox
-# deliveries.
+# under arbitrary interleavings of inserts, bounded probes, and pops.
 cargo test -q --offline -p sim wheel
-cargo test -q --offline -p sim --test prop_shard_wheel
 
 # Smoke-run the quickstart example end to end. It runs the broker under the
 # continuous-telemetry sampler and health watchdog and exits non-zero on any

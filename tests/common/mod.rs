@@ -168,10 +168,8 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
 /// bit-identical to [`run_seed`] — `tests/shard_equivalence.rs` pins that.
 #[allow(dead_code)]
 pub fn run_seed_sharded(seed: u64) -> Outcome {
-    let opts = kafkadirect::ClusterOptions::default();
-    let sopts = sim::shard::ShardOptions::new(1, opts.profile.lookahead(), seed);
-    let mut run = sim::shard::run_sharded::<(), Outcome, _>(&sopts, |ctx| {
-        ctx.run(chaos_workload(seed, opts.clone(), false))
+    let mut run = sim::shard::run_sharded(1, seed, |_| {
+        chaos_workload(seed, kafkadirect::ClusterOptions::default(), false)
     });
     run.results.pop().unwrap()
 }

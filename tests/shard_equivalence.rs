@@ -2,15 +2,15 @@
 //!
 //! Two claims keep the sharded executor honest (DESIGN.md §12):
 //!
-//! 1. **Bit-identity at `shards = 1`** — the windowed shard scheduler
-//!    degenerates to the legacy `block_on` loop exactly: same task ids,
-//!    same timer order, same RNG stream, same trace ids. The full chaos
+//! 1. **Bit-identity at `shards = 1`** — one shard thread running the
+//!    workload reproduces a plain `block_on` exactly: same task ids, same
+//!    timer order, same RNG stream, same trace ids. The full chaos
 //!    workload must produce the same order-sensitive digest both ways.
 //! 2. **Placement independence at `shards > 1`** — a multi-group chaos
 //!    topology must produce identical acked/consumed record sets and
 //!    identical canonical trace digests whether the groups share one
-//!    virtual clock (`shards = 1`) or advance on four barrier-synchronized
-//!    clocks (`shards = 4`).
+//!    virtual clock (`shards = 1`) or each advances its own clock on its
+//!    own shard thread (`shards = 4`).
 
 mod common;
 
