@@ -16,7 +16,7 @@ use rnic::{SendWr, ShmBuf, WorkRequest};
 use sim::sync::oneshot;
 
 use crate::broker::BrokerInner;
-use crate::data::Partition;
+use crate::data::{ParkedAck, Partition};
 use crate::rdma_consume::{self, SlotRef};
 use crate::rdma_net::send_ack;
 use crate::rdma_produce::Grant;
@@ -1274,12 +1274,25 @@ fn finish_rdma_ack(
         }
         _ => {
             if p.replication_factor() > 1 {
-                let b2 = Rc::clone(b);
-                let p2 = Rc::clone(p);
-                sim::spawn(async move {
-                    p2.wait_committed(span.next_offset).await;
-                    deliver_ack(&b2, route, ErrorCode::None, span.base_offset);
-                });
+                // The span was just committed past the leader's old log
+                // end, and the HW never exceeds that, so the ack always
+                // waits.
+                debug_assert!(span.next_offset > p.log.high_watermark());
+                let ack = ParkedAck {
+                    until: span.next_offset,
+                    base_offset: span.base_offset,
+                    route,
+                };
+                if p.park_ack(ack) {
+                    let b = Rc::clone(b);
+                    let p = Rc::clone(p);
+                    sim::spawn_detached(async move {
+                        p.release_acks(|ack| {
+                            deliver_ack(&b, ack.route, ErrorCode::None, ack.base_offset);
+                        })
+                        .await;
+                    });
+                }
             } else {
                 deliver_ack(b, route, ErrorCode::None, span.base_offset);
             }

@@ -1,55 +1,22 @@
 //! Data management: partitions, leadership, the high watermark.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use kdstorage::{Log, LogConfig, TopicPartition};
 use kdwire::{BrokerAddr, PartitionMeta, TopicMeta};
 use sim::sync::watch;
 
-/// FIFO ticket chain: lets concurrent workers impose a required processing
-/// order on commits to one file (§4.2.2: "processing RDMA produce requests
-/// in the same order as the corresponding completion events are generated").
-pub struct Chain {
-    done: Cell<u64>,
-    notify: sim::sync::Notify,
-}
+use crate::requests::AckRoute;
 
-impl Default for Chain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Chain {
-    pub fn new() -> Self {
-        Chain {
-            done: Cell::new(0),
-            notify: sim::sync::Notify::new(),
-        }
-    }
-
-    pub async fn wait_turn(&self, ticket: u64) {
-        while self.done.get() < ticket {
-            self.notify.notified().await;
-        }
-    }
-
-    pub fn advance(&self, ticket: u64) {
-        debug_assert_eq!(self.done.get(), ticket);
-        self.done.set(ticket + 1);
-        self.notify.notify_waiters();
-    }
-
-    /// Advances past a whole run of consecutive tickets in one step (one
-    /// broadcast instead of one per ticket). The caller must own every
-    /// ticket in `done..next`, i.e. have passed `wait_turn` for the first.
-    pub fn advance_to(&self, next: u64) {
-        debug_assert!(next > self.done.get());
-        self.done.set(next);
-        self.notify.notify_waiters();
-    }
+/// A replicated-leader produce ack held in its partition's purgatory until
+/// the high watermark reaches `until`, its span end (§4.3.2: a record is
+/// acked once it is fully replicated).
+pub struct ParkedAck {
+    pub until: u64,
+    pub base_offset: u64,
+    pub route: AckRoute,
 }
 
 /// One topic partition hosted by this broker (leader or follower replica).
@@ -70,7 +37,8 @@ pub struct Partition {
     /// Log-end-offset announcements (wakes push replication / long-poll
     /// replica fetches).
     pub leo_tx: watch::Sender<u64>,
-    /// High-watermark announcements (completes acks, updates slots).
+    /// High-watermark announcements (wake the ack purgatory's releaser and
+    /// TCP `acks=all` waiters).
     pub hw_tx: watch::Sender<u64>,
     /// Per-follower acknowledged log-end offsets.
     follower_leo: RefCell<HashMap<u32, u64>>,
@@ -83,6 +51,11 @@ pub struct Partition {
     pub slot_refs: RefCell<Vec<crate::rdma_consume::SlotRef>>,
     /// Whether push-replication tasks have been started.
     pub push_started: Cell<bool>,
+    /// Ack purgatory (Kafka's name for requests parked until a condition
+    /// holds): acks waiting for the high watermark, in offset order.
+    purgatory: RefCell<VecDeque<ParkedAck>>,
+    /// Whether the purgatory's releaser task has been started.
+    releaser_started: Cell<bool>,
 }
 
 impl Partition {
@@ -124,6 +97,8 @@ impl Partition {
             read_regs: RefCell::new(HashMap::new()),
             slot_refs: RefCell::new(Vec::new()),
             push_started: Cell::new(false),
+            purgatory: RefCell::new(VecDeque::new()),
+            releaser_started: Cell::new(false),
         })
     }
 
@@ -207,6 +182,41 @@ impl Partition {
         if hw > self.log.high_watermark() {
             self.log.set_high_watermark(hw);
             self.hw_tx.send(hw);
+        }
+    }
+
+    /// Parks `ack` in the purgatory until the high watermark reaches
+    /// `ack.until`. Returns `true` on the first park, when the caller must
+    /// start the releaser ([`release_acks`](Self::release_acks)).
+    pub fn park_ack(&self, ack: ParkedAck) -> bool {
+        let mut q = self.purgatory.borrow_mut();
+        debug_assert!(
+            q.back().is_none_or(|last| last.until <= ack.until),
+            "acks park in offset order"
+        );
+        q.push_back(ack);
+        !self.releaser_started.replace(true)
+    }
+
+    /// The purgatory's releaser: one task per partition, polled once per
+    /// high-watermark advance however many acks wait. Each advance hands
+    /// every parked ack the HW has reached to `release`, in offset order.
+    /// Returns only if the HW sender is gone.
+    pub async fn release_acks(&self, mut release: impl FnMut(ParkedAck)) {
+        let mut rx = self.hw_tx.subscribe();
+        loop {
+            let hw = rx.borrow_and_update(|hw| *hw);
+            loop {
+                // The borrow ends before `release` runs.
+                let due = self.purgatory.borrow_mut().pop_front_if(|a| a.until <= hw);
+                match due {
+                    Some(ack) => release(ack),
+                    None => break,
+                }
+            }
+            if rx.changed().await.is_err() {
+                return;
+            }
         }
     }
 
@@ -299,6 +309,7 @@ impl PartitionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::future::Future;
 
     fn addr(node: u32) -> BrokerAddr {
         BrokerAddr {
@@ -386,10 +397,84 @@ mod tests {
     }
 
     #[test]
+    fn purgatory_releases_acks_in_offset_order_as_the_hw_passes_them() {
+        let rt = sim::Runtime::new();
+        rt.block_on(async {
+            let p = Partition::new(
+                tp(),
+                LogConfig::default().with_segment_size(1 << 20),
+                addr(0),
+                vec![addr(1), addr(2)],
+                true,
+                0,
+            );
+            // Eight single-record spans; the ack for offset i waits for
+            // HW >= i + 1.
+            for _ in 0..8 {
+                let b = kdstorage::record::single_record_batch(
+                    1,
+                    &kdstorage::Record::value(b"x".to_vec()),
+                );
+                p.log.append_batch(&b).unwrap();
+            }
+            for i in 0..8u64 {
+                let first = p.park_ack(ParkedAck {
+                    until: i + 1,
+                    base_offset: i,
+                    route: AckRoute::None,
+                });
+                assert_eq!(first, i == 0, "only the first park starts the releaser");
+            }
+            // (base offset, HW when released) per released ack.
+            let released = Rc::new(RefCell::new(Vec::new()));
+            let polls = Rc::new(Cell::new(0u32));
+            {
+                let p = Rc::clone(&p);
+                let released = Rc::clone(&released);
+                let polls = Rc::clone(&polls);
+                sim::spawn_detached(async move {
+                    let hw_of = Rc::clone(&p);
+                    let mut releaser = std::pin::pin!(p.release_acks(move |ack| {
+                        released
+                            .borrow_mut()
+                            .push((ack.base_offset, hw_of.log.high_watermark()));
+                    }));
+                    std::future::poll_fn(|cx| {
+                        polls.set(polls.get() + 1);
+                        releaser.as_mut().poll(cx)
+                    })
+                    .await;
+                });
+            }
+            let settle = || sim::time::sleep(std::time::Duration::from_micros(1));
+            settle().await;
+            assert_eq!(polls.get(), 1);
+            assert!(released.borrow().is_empty(), "HW 0 releases nothing");
+            // One follower fully caught up does not move the HW (RF 3).
+            p.follower_ack(1, 8);
+            settle().await;
+            assert_eq!(polls.get(), 1, "no HW advance, no poll");
+            assert!(released.borrow().is_empty());
+            let mut advances = 0;
+            for hw in [3u64, 7, 8] {
+                p.follower_ack(2, hw);
+                advances += 1;
+                settle().await;
+                assert_eq!(polls.get(), 1 + advances, "one poll per HW advance");
+                let r = released.borrow();
+                let offsets: Vec<u64> = r.iter().map(|(o, _)| *o).collect();
+                assert_eq!(offsets, (0..hw).collect::<Vec<_>>(), "exactly the acks HW {hw} passed");
+                // Span end `o + 1` never exceeds the HW at release.
+                assert!(r.iter().all(|(o, at)| o < at), "no ack before the HW");
+            }
+        });
+    }
+
+    #[test]
     fn chain_orders_commits() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let chain = Rc::new(Chain::new());
+            let chain = Rc::new(sim::sync::TicketChain::new());
             let log = Rc::new(RefCell::new(Vec::new()));
             // Spawn out of order: ticket 1 first, then 0.
             for ticket in [1u64, 0] {

@@ -150,8 +150,8 @@ pub fn slot_view_for(p: &Partition, segment: u32) -> SlotView {
 /// Refreshes every metadata slot attached to `p` (called when the high
 /// watermark advances or a file seals).
 pub fn update_partition_slots(p: &Partition, module: &ConsumeModule, metrics: &Metrics) {
-    let refs = p.slot_refs.borrow().clone();
-    for r in refs {
+    // Nothing below touches `slot_refs`, so walk it in place.
+    for r in p.slot_refs.borrow().iter() {
         if let Some(c) = module.get(r.consumer_id) {
             let view = slot_view_for(p, r.segment);
             c.buf.write_at(r.slot * SLOT_SIZE, &view.encode());

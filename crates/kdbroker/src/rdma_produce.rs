@@ -12,8 +12,8 @@ use kdstorage::TopicPartition;
 use kdwire::messages::ProduceMode;
 use netsim::NodeId;
 use rnic::{Access, MemoryRegion, RNic, ShmBuf};
+use sim::sync::TicketChain;
 
-use crate::data::Chain;
 use crate::requests::{AckRoute, WorkItem};
 
 /// Shared-mode coordination state.
@@ -51,7 +51,7 @@ pub struct Grant {
     pub closed: Cell<bool>,
     /// Completion-order processing chain (§4.2.2: requests are processed
     /// "in the same order as the corresponding completion events").
-    pub chain: Chain,
+    pub chain: TicketChain,
     /// Ticket counter used by the CQ pollers.
     pub next_seq: Cell<u64>,
     /// Reorder stage: commit items enter the shared request queue strictly
@@ -189,7 +189,7 @@ impl ProduceModule {
             mr,
             owner,
             closed: Cell::new(false),
-            chain: Chain::new(),
+            chain: TicketChain::new(),
             next_seq: Cell::new(0),
             enqueue_next: Cell::new(0),
             enqueue_buf: RefCell::new(HashMap::new()),

@@ -221,7 +221,7 @@ impl MultiRdmaConsumer {
             if let Some(slot) = sub.grant.as_ref().and_then(|g| g.slot) {
                 let at = slot.index as usize * SLOT_SIZE;
                 if at + SLOT_SIZE <= span {
-                    let view = SlotView::decode(&self.slot_buf.read_at(at, SLOT_SIZE));
+                    let view = self.slot_buf.with(|s| SlotView::decode(&s[at..at + SLOT_SIZE]));
                     sub.last_readable = view.last_readable;
                     sub.mutable = view.mutable;
                 }
@@ -287,9 +287,8 @@ impl MultiRdmaConsumer {
                 copy_time(n as u64, cpu.crc_bandwidth) + copy_time(n as u64, cpu.memcpy_bandwidth),
             )
             .await;
-            let bytes = self.fetch_buf.read_at(0, n);
             let sub = &mut self.subs[idx];
-            sub.partial.extend_from_slice(&bytes);
+            self.fetch_buf.with(|s| sub.partial.extend_from_slice(&s[..n]));
             sub.read_pos += n as u32;
             // Parse complete batches.
             let mut at = 0usize;

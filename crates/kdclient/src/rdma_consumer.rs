@@ -222,11 +222,8 @@ impl RdmaConsumer {
         let local = self.slot_buf.slice(0, span);
         self.rdma_read(local, slot.region.addr, slot.region.rkey, None)
             .await?;
-        let view = SlotView::decode(
-            &self
-                .slot_buf
-                .read_at(slot.index as usize * SLOT_SIZE, SLOT_SIZE),
-        );
+        let at = slot.index as usize * SLOT_SIZE;
+        let view = self.slot_buf.with(|s| SlotView::decode(&s[at..at + SLOT_SIZE]));
         let f = self.file.as_mut().expect("file present");
         f.last_readable = view.last_readable;
         f.mutable = view.mutable;
@@ -295,7 +292,7 @@ impl RdmaConsumer {
         let ctx = tspan.ctx();
         let local = self.fetch_buf.slice(0, n);
         self.rdma_read(local, addr, rkey, Some(ctx)).await?;
-        self.partial.extend_from_slice(&self.fetch_buf.read_at(0, n));
+        self.fetch_buf.with(|s| self.partial.extend_from_slice(&s[..n]));
         self.file.as_mut().unwrap().read_pos += n as u32;
         // Client-side integrity check + copy into "native" buffers — the
         // 2 µs overhead §5.3 attributes to the consumer API.

@@ -18,7 +18,7 @@ use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use netsim::NodeId;
-use sim::sync::Notify;
+use sim::sync::{Notify, TicketChain};
 use sim::SimTime;
 
 use crate::cq::CompletionQueue;
@@ -68,66 +68,6 @@ enum QpState {
     Error,
 }
 
-struct Chain {
-    done: Cell<u64>,
-    /// Parked wakers by ticket. Advancing wakes only the next ticket's
-    /// task: with a deep post list in flight, a broadcast here is O(k²)
-    /// spurious polls per chain of k WRs (every advance wakes every
-    /// waiter), which dominated executor polls once senders started
-    /// doorbell-batching.
-    waiters: RefCell<Vec<(u64, std::task::Waker)>>,
-}
-
-impl Chain {
-    fn new() -> Self {
-        Chain {
-            done: Cell::new(0),
-            waiters: RefCell::new(Vec::new()),
-        }
-    }
-
-    async fn wait_turn(&self, ticket: u64) {
-        std::future::poll_fn(|cx| {
-            if self.done.get() >= ticket {
-                return std::task::Poll::Ready(());
-            }
-            let mut ws = self.waiters.borrow_mut();
-            if let Some(slot) = ws.iter_mut().find(|(t, _)| *t == ticket) {
-                slot.1.clone_from(cx.waker());
-            } else {
-                ws.push((ticket, cx.waker().clone()));
-            }
-            std::task::Poll::Pending
-        })
-        .await;
-    }
-
-    fn advance(&self, ticket: u64) {
-        debug_assert_eq!(self.done.get(), ticket);
-        let next = ticket + 1;
-        self.done.set(next);
-        let woken = {
-            let mut ws = self.waiters.borrow_mut();
-            ws.iter()
-                .position(|(t, _)| *t <= next)
-                .map(|i| ws.swap_remove(i).1)
-        };
-        if let Some(w) = woken {
-            w.wake();
-        }
-    }
-
-    /// Wakes every parked task (QP teardown). Liveness does not depend on
-    /// this — `run_wr` advances the chain even on a dead QP — it only
-    /// hurries the flush along, as the old broadcast did.
-    fn wake_all(&self) {
-        let ws = std::mem::take(&mut *self.waiters.borrow_mut());
-        for (_, w) in ws {
-            w.wake();
-        }
-    }
-}
-
 pub(crate) struct QpShared {
     pub(crate) qpn: u32,
     nic: Rc<NicInner>,
@@ -139,8 +79,8 @@ pub(crate) struct QpShared {
     recv_posted: Notify,
     opts: QpOptions,
     next_ticket: Cell<u64>,
-    delivery: Chain,
-    completion: Chain,
+    delivery: TicketChain,
+    completion: TicketChain,
     error_notify: Notify,
     /// Fault injection: posted receives on this endpoint are invisible to
     /// the peer until this virtual time — a receiver-not-ready storm.
@@ -169,8 +109,8 @@ impl QpShared {
             recv_posted: Notify::new(),
             opts,
             next_ticket: Cell::new(0),
-            delivery: Chain::new(),
-            completion: Chain::new(),
+            delivery: TicketChain::new(),
+            completion: TicketChain::new(),
             error_notify: Notify::new(),
             rnr_storm_until: Cell::new(None),
         });
@@ -217,6 +157,8 @@ impl QpShared {
         }
         let _ = status;
         qp.recv_posted.notify_waiters();
+        // Liveness does not depend on these two wakes (`run_wr` advances
+        // the chains even on a dead QP); they only hurry the flush along.
         qp.delivery.wake_all();
         qp.completion.wake_all();
         qp.error_notify.notify_waiters();

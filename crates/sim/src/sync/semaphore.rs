@@ -58,23 +58,25 @@ impl Semaphore {
     /// *transferred* to woken waiters immediately so a concurrent
     /// `try_acquire` cannot steal them before the waiter polls.
     pub fn add_permits(&self, n: usize) {
-        let mut s = self.state.borrow_mut();
-        s.permits += n;
-        let mut to_wake = Vec::new();
+        self.state.borrow_mut().permits += n;
         // Wake the longest FIFO prefix that can now be satisfied; holding to
-        // strict FIFO avoids starving large acquisitions.
-        while let Some((_, want, _)) = s.waiters.front() {
-            if *want <= s.permits {
-                s.permits -= *want;
-                let (_, _, w) = s.waiters.pop_front().unwrap();
-                to_wake.push(w);
-            } else {
-                break;
+        // strict FIFO avoids starving large acquisitions. One waiter per
+        // borrow, woken outside it, so no wake list is collected.
+        loop {
+            let woken = {
+                let mut s = self.state.borrow_mut();
+                match s.waiters.front() {
+                    Some(&(_, want, _)) if want <= s.permits => {
+                        s.permits -= want;
+                        s.waiters.pop_front().map(|(_, _, w)| w)
+                    }
+                    _ => None,
+                }
+            };
+            match woken {
+                Some(w) => w.wake(),
+                None => break,
             }
-        }
-        drop(s);
-        for w in to_wake {
-            w.wake();
         }
     }
 

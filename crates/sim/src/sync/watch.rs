@@ -1,8 +1,14 @@
 //! A single-value broadcast channel ("watch"), modelled on
 //! `tokio::sync::watch`.
 //!
-//! The broker uses this to publish per-partition high-watermark changes to
-//! interested tasks (e.g. delayed TCP fetches waiting for new data).
+//! The broker publishes each partition's log end and high watermark (HW)
+//! on one. Every send wakes every parked receiver, so a watch suits a few
+//! long-lived listeners (a partition's ack releaser, its push-replication
+//! tasks), never one waiter per record: per-record waits go in an
+//! offset-ordered queue drained by one listener (the broker's ack
+//! purgatory) or on a [`TicketChain`](super::TicketChain). The broker's
+//! TCP `acks=all` path is the one exception left: it still parks a task
+//! per request on the HW watch. Steady-state sends allocate nothing.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -45,14 +51,7 @@ pub fn channel<T>(initial: T) -> (Sender<T>, Receiver<T>) {
 impl<T> Sender<T> {
     /// Replaces the value and wakes all waiting receivers.
     pub fn send(&self, value: T) {
-        let mut s = self.shared.borrow_mut();
-        s.value = value;
-        s.version += 1;
-        let wakers = std::mem::take(&mut s.wakers);
-        drop(s);
-        for w in wakers {
-            w.wake();
-        }
+        self.send_modify(|v| *v = value);
     }
 
     /// Mutates the value in place and notifies.
@@ -60,10 +59,17 @@ impl<T> Sender<T> {
         let mut s = self.shared.borrow_mut();
         f(&mut s.value);
         s.version += 1;
-        let wakers = std::mem::take(&mut s.wakers);
+        // Take the waker list out of the borrow so wakes can't re-enter the
+        // RefCell, then hand it back: its capacity is retained, so a
+        // steady-state send never allocates (as `Notify::notify_waiters`).
+        let mut wakers = std::mem::take(&mut s.wakers);
         drop(s);
-        for w in wakers {
+        for w in wakers.drain(..) {
             w.wake();
+        }
+        let mut s = self.shared.borrow_mut();
+        if s.wakers.is_empty() {
+            s.wakers = wakers;
         }
     }
 

@@ -60,8 +60,9 @@ cargo run -q --release --offline --example quickstart -- --durable
 
 # Perf smoke: wall-clock harness over the fig10/11 produce workload with a
 # counting global allocator and an executor-poll counter. Writes
-# BENCH_<TAG>.json (+ results/PERF_<TAG>.md; TAG from --tag/KD_BENCH_TAG,
-# default PR10) and exits non-zero if the steady-state exclusive-RDMA
+# BENCH_smoke.json (+ results/PERF_smoke.md, both git-ignored, so a CI run
+# never overwrites a tracked BENCH_<TAG>.json with smoke-sized numbers)
+# and exits non-zero if the steady-state exclusive-RDMA
 # produce path — over the in-memory store OR the file-backed hot tier —
 # exceeds its allocation budget (allocs/record <= 2) or its scheduling
 # budget (polls/record <= 12 — the pre-batching loop needed ~20.8, so this
@@ -84,4 +85,4 @@ cargo run -q --release --offline --example quickstart -- --durable
 # and polls/record budgets as the per-QP path. This smoke only means
 # anything if the conn_scaling equivalence gate above passed, hence the
 # ordering.
-cargo run -q --release --offline -p kdbench --bin kdperf -- --smoke
+cargo run -q --release --offline -p kdbench --bin kdperf -- --smoke --tag smoke

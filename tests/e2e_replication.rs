@@ -95,6 +95,47 @@ fn push_replication_three_way() {
     });
 }
 
+/// acks=all on the RDMA path (§4.3.2): a replicated leader acks a record
+/// only once the high watermark covers it, while pipelined sends keep many
+/// acks parked at once.
+#[test]
+fn rdma_acks_wait_for_the_high_watermark() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 3);
+        cluster.create_topic("t", 1, 3).await;
+        let cnode = cluster.add_client_node("c");
+        let leader = cluster.leader_of("t", 0).await;
+        let leader_broker = cluster
+            .brokers()
+            .into_iter()
+            .find(|b| b.addr().node == leader.node)
+            .unwrap();
+        let tp = kdstorage::TopicPartition::new("t", 0);
+        let hw = move || {
+            let p = leader_broker.inner().store.get(&tp).unwrap();
+            p.log.high_watermark()
+        };
+        let mut producer = RdmaProducer::connect(&cnode, leader, "t", 0, false)
+            .await
+            .unwrap();
+        let records: Vec<Record> = (0..64u8).map(|i| Record::value(vec![i; 64])).collect();
+        let mut acks = Vec::new();
+        let mut next = 0u64;
+        for window in records.chunks(16) {
+            producer.send_pipelined_chain(window, &mut acks).await.unwrap();
+            for ack in acks.drain(..) {
+                let (error, off) = ack.await.unwrap();
+                assert!(error.is_ok());
+                assert_eq!(off, next);
+                assert!(hw() > off, "ack for {off} arrived before the HW covered it");
+                next += 1;
+            }
+        }
+        assert_eq!(hw(), 64);
+    });
+}
+
 /// Module isolation (Fig 14/15): RDMA produce with TCP pull replication, and
 /// TCP produce with RDMA push replication, both deliver correct data.
 #[test]
